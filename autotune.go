@@ -95,6 +95,9 @@ func AutoFactorize(a *Dense, procs int, opts Options) (*Result, error) {
 	}
 	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
 	if opts.CondEst == 0 {
+		if err := checkInput(a); err != nil {
+			return nil, err
+		}
 		opts.CondEst = lin.EstimateCond(a.toLin(), condEstIters)
 	}
 	best, err := plan.Best(planRequest(a.Rows, a.Cols, procs, opts))
@@ -113,55 +116,18 @@ func AutoFactorize(a *Dense, procs int, opts Options) (*Result, error) {
 // without re-running the enumeration — the path for callers that want
 // to inspect or re-rank the candidate list before committing, or to
 // reuse a cached plan across same-shaped matrices. Every variant the
-// planner prices is dispatchable here, including the PGEQRF baseline
-// and the blocked (panelWidth > 0) TSQR rows. The executed plan is
-// recorded in Result.Plan.
+// planner prices is executable here, including the PGEQRF baseline
+// and the blocked (panelWidth > 0) TSQR rows. A hand-built row is
+// checked against the matrix before any rank starts; an infeasible one
+// is an error, never a panic. The executed plan is recorded in
+// Result.Plan.
 func FactorizePlan(a *Dense, p Plan, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return nil, err
-	}
-	res, err := dispatch(a, p, opts)
+	res, err := execute(a, p, opts)
 	if err != nil {
 		return nil, err
 	}
 	res.Plan = &p
 	return res, nil
-}
-
-// dispatch executes a planner-selected variant.
-func dispatch(a *Dense, p Plan, opts Options) (*Result, error) {
-	opts.PanelWidth = 0
-	switch p.Variant {
-	case plan.Sequential:
-		return Factorize1D(a, 1, opts)
-	case plan.OneD:
-		return Factorize1D(a, p.Procs, opts)
-	case plan.ShiftedCQR3:
-		return FactorizeShifted1D(a, p.Procs, opts)
-	case plan.CACQR2:
-		return FactorizeOnGrid(a, GridSpec{C: p.C, D: p.D}, opts)
-	case plan.PanelCACQR2:
-		opts.PanelWidth = p.PanelWidth
-		return FactorizeOnGrid(a, GridSpec{C: p.C, D: p.D}, opts)
-	case plan.TSQR:
-		return FactorizeTSQR(a, p.Procs, p.PanelWidth, opts)
-	case plan.PGEQRF:
-		return FactorizePGEQRF(a, p.D, p.C, p.PanelWidth, opts)
-	case plan.StreamTSQR:
-		// Out-of-core dispatch for an already-in-memory matrix: stream it
-		// panel by panel anyway, so peak *additional* memory stays at one
-		// panel plus the R-chain and the budget the planner honored is
-		// respected by the execution too.
-		opts.PanelRows = p.PanelWidth
-		sink := SinkToDense()
-		res, err := FactorizeStreaming(SourceFromDense(a), sink, opts)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	default:
-		return nil, fmt.Errorf("cacqr: plan variant %q is not executable", p.Variant)
-	}
 }
 
 // checkOptions rejects malformed knobs up front — a negative Workers

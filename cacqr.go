@@ -24,6 +24,7 @@ import (
 	"cacqr/internal/core"
 	"cacqr/internal/costmodel"
 	"cacqr/internal/lin"
+	"cacqr/internal/plan"
 )
 
 // Dense is a row-major dense matrix, the package's public exchange type.
@@ -260,17 +261,16 @@ type Result struct {
 // Requires d | m and c | n. Ranks are simulated goroutines by default;
 // Options.Transport can move them onto real OS worker processes.
 func FactorizeOnGrid(a *Dense, spec GridSpec, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return nil, err
+	return execute(a, gridRow(spec, opts), opts)
+}
+
+// gridRow is the plan row of an explicit c×d×c grid: the panel variant
+// when Options.PanelWidth is set, plain CA-CQR2 otherwise.
+func gridRow(spec GridSpec, opts Options) Plan {
+	if opts.PanelWidth > 0 {
+		return Plan{Variant: plan.PanelCACQR2, C: spec.C, D: spec.D, PanelWidth: opts.PanelWidth}
 	}
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	return runDistributed(wireJob{
-		Variant: variantGrid, M: a.Rows, N: a.Cols, C: spec.C, D: spec.D,
-		PanelWidth: opts.PanelWidth, InverseDepth: opts.InverseDepth,
-		BaseSize: opts.BaseSize, Workers: opts.Workers,
-	}, a.toLin(), opts)
+	return Plan{Variant: plan.CACQR2, C: spec.C, D: spec.D}
 }
 
 // Factorize1D factors a tall matrix with 1D-CQR2 (Algorithm 7) on a
@@ -280,18 +280,7 @@ func FactorizeOnGrid(a *Dense, spec GridSpec, opts Options) (*Result, error) {
 // c = 1 execution path: the paper's tall-skinny regime, where
 // replication buys nothing and the whole Gram matrix fits one rank.
 func Factorize1D(a *Dense, procs int, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return nil, err
-	}
-	if procs < 1 {
-		return nil, fmt.Errorf("cacqr: invalid processor count %d", procs)
-	}
-	if a.Rows%procs != 0 {
-		return nil, fmt.Errorf("cacqr: m=%d not divisible by P=%d", a.Rows, procs)
-	}
-	return runDistributed(wireJob{
-		Variant: variant1D, M: a.Rows, N: a.Cols, Procs: procs, Workers: opts.Workers,
-	}, a.toLin(), opts)
+	return execute(a, Plan{Variant: plan.OneD, Procs: procs}, opts)
 }
 
 // FactorizeShifted1D factors a tall matrix with the distributed shifted
@@ -302,18 +291,7 @@ func Factorize1D(a *Dense, procs int, opts Options) (*Result, error) {
 // CholeskyQR2's ~ε^{-1/2} regime — at ~1.5× the flops, and is what the
 // condition-aware planner dispatches for ill-conditioned tall inputs.
 func FactorizeShifted1D(a *Dense, procs int, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return nil, err
-	}
-	if procs < 1 {
-		return nil, fmt.Errorf("cacqr: invalid processor count %d", procs)
-	}
-	if a.Rows%procs != 0 {
-		return nil, fmt.Errorf("cacqr: m=%d not divisible by P=%d", a.Rows, procs)
-	}
-	return runDistributed(wireJob{
-		Variant: variantShifted1D, M: a.Rows, N: a.Cols, Procs: procs, Workers: opts.Workers,
-	}, a.toLin(), opts)
+	return execute(a, Plan{Variant: plan.ShiftedCQR3, Procs: procs}, opts)
 }
 
 // FactorizeTSQR factors a tall-skinny matrix with the binary-tree TSQR
@@ -321,24 +299,10 @@ func FactorizeShifted1D(a *Dense, procs int, opts Options) (*Result, error) {
 // is unconditionally stable — the right tool when κ(A) exceeds
 // CholeskyQR2's ~1/√ε regime — at the price of a log P critical path of
 // small factorizations. panelWidth > 0 selects the blocked variant,
-// which only needs m/procs ≥ panelWidth instead of m/procs ≥ n.
+// which only needs m/procs ≥ panelWidth (and panelWidth | n) instead of
+// m/procs ≥ n.
 func FactorizeTSQR(a *Dense, procs, panelWidth int, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return nil, err
-	}
-	if procs < 1 {
-		return nil, fmt.Errorf("cacqr: invalid processor count %d", procs)
-	}
-	// Checked here, before any ranks spin up, like every sibling entry
-	// point: an invalid shape must fail fast, not after launching all P
-	// ranks.
-	if a.Rows%procs != 0 {
-		return nil, fmt.Errorf("cacqr: m=%d not divisible by P=%d", a.Rows, procs)
-	}
-	return runDistributed(wireJob{
-		Variant: variantTSQR, M: a.Rows, N: a.Cols, Procs: procs,
-		PanelWidth: panelWidth, Workers: opts.Workers,
-	}, a.toLin(), opts)
+	return execute(a, Plan{Variant: plan.TSQR, Procs: procs, PanelWidth: panelWidth}, opts)
 }
 
 // FactorizePGEQRF factors an m×n matrix with the ScaLAPACK-style 2D
@@ -356,19 +320,7 @@ func FactorizeTSQR(a *Dense, procs, panelWidth int, opts Options) (*Result, erro
 // measured cost here exceeds the plan's prediction by that output
 // work.
 func FactorizePGEQRF(a *Dense, pr, pc, nb int, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return nil, err
-	}
-	if pr < 1 || pc < 1 {
-		return nil, fmt.Errorf("cacqr: invalid process grid %dx%d", pr, pc)
-	}
-	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("cacqr: PGEQRF requires m ≥ n, got %dx%d", a.Rows, a.Cols)
-	}
-	return runDistributed(wireJob{
-		Variant: variantPGEQRF, M: a.Rows, N: a.Cols, PR: pr, PC: pc, NB: nb,
-		Workers: opts.Workers,
-	}, a.toLin(), opts)
+	return execute(a, Plan{Variant: plan.PGEQRF, C: pc, D: pr, PanelWidth: nb}, opts)
 }
 
 // Machine re-exports the cost model's machine description.

@@ -253,39 +253,62 @@ func servePprof(addr string) {
 	}
 }
 
-// registerServeMetrics exposes the serve layer's live state and ledger
+// serveFields is the one table of ServerStats fields cacqrd exports:
+// each row's key names it on /stats and, when series is set, its
+// /metrics series (a counter, or a gauge for live state), so the two
+// endpoints cannot drift apart.
+var serveFields = []struct {
+	key, series, help string
+	gauge             bool
+	get               func(cacqr.ServerStats) int64
+}{
+	{"requests", "cacqr_serve_requests_total", "Request units admitted.", false,
+		func(st cacqr.ServerStats) int64 { return st.Requests }},
+	{"lookups", "cacqr_plan_cache_lookups_total", "Plan-resolution attempts in request units.", false,
+		func(st cacqr.ServerStats) int64 { return st.Lookups }},
+	{"hits", "cacqr_plan_cache_hits_total", "Plan lookups served from the cache.", false,
+		func(st cacqr.ServerStats) int64 { return st.Hits }},
+	{"misses", "cacqr_plan_cache_misses_total", "Plan lookups that missed the cache.", false,
+		func(st cacqr.ServerStats) int64 { return st.Misses }},
+	{"evictions", "cacqr_plan_cache_evictions_total", "Plans evicted from the LRU.", false,
+		func(st cacqr.ServerStats) int64 { return st.Evictions }},
+	{"entries", "cacqr_plan_cache_entries", "Current plan-cache population.", true,
+		func(st cacqr.ServerStats) int64 { return int64(st.Entries) }},
+	{"planned", "", "", false, func(st cacqr.ServerStats) int64 { return st.Planned }},
+	{"batched", "", "", false, func(st cacqr.ServerStats) int64 { return st.Batched }},
+	{"leads", "", "", false, func(st cacqr.ServerStats) int64 { return st.Leads }},
+	{"in_flight_ranks", "cacqr_serve_in_flight_ranks", "Simulated-rank tokens currently held.", true,
+		func(st cacqr.ServerStats) int64 { return int64(st.InFlightRanks) }},
+	{"rank_budget", "", "", false, func(st cacqr.ServerStats) int64 { return int64(st.RankBudget) }},
+	{"pending", "cacqr_serve_pending", "Request units admitted and unfinished (queue depth).", true,
+		func(st cacqr.ServerStats) int64 { return int64(st.Pending) }},
+	{"max_pending", "", "", false, func(st cacqr.ServerStats) int64 { return int64(st.MaxPending) }},
+	{"overloaded", "cacqr_serve_overloaded_total", "Requests refused at admission.", false,
+		func(st cacqr.ServerStats) int64 { return st.Overloaded }},
+	{"fused_batches", "", "", false, func(st cacqr.ServerStats) int64 { return st.FusedBatches }},
+	{"fused_requests", "cacqr_serve_fused_requests_total", "Request units executed inside fused batches.", false,
+		func(st cacqr.ServerStats) int64 { return st.FusedRequests }},
+	{"fuse_occupancy", "cacqr_serve_fuse_occupancy", "Payloads waiting in open fuse windows.", true,
+		func(st cacqr.ServerStats) int64 { return int64(st.FuseOccupancy) }},
+}
+
+// registerServeMetrics exposes the serveFields rows that have a series
 // through the metrics registry at scrape time — no double bookkeeping,
 // and the lookup-ledger invariants (lookups = hits + misses) hold
 // within one scrape because ServerStats snapshots under one lock.
 func registerServeMetrics(m *cacqr.Metrics, srv *cacqr.Server) {
-	gauge := func(name, help string, get func(cacqr.ServerStats) float64) {
-		m.GaugeFunc(name, help, func() float64 { return get(srv.Stats()) })
+	for _, f := range serveFields {
+		if f.series == "" {
+			continue
+		}
+		get := f.get
+		read := func() float64 { return float64(get(srv.Stats())) }
+		if f.gauge {
+			m.GaugeFunc(f.series, f.help, read)
+		} else {
+			m.CounterFunc(f.series, f.help, read)
+		}
 	}
-	counter := func(name, help string, get func(cacqr.ServerStats) float64) {
-		m.CounterFunc(name, help, func() float64 { return get(srv.Stats()) })
-	}
-	counter("cacqr_serve_requests_total", "Request units admitted.",
-		func(st cacqr.ServerStats) float64 { return float64(st.Requests) })
-	counter("cacqr_plan_cache_lookups_total", "Plan-resolution attempts in request units.",
-		func(st cacqr.ServerStats) float64 { return float64(st.Lookups) })
-	counter("cacqr_plan_cache_hits_total", "Plan lookups served from the cache.",
-		func(st cacqr.ServerStats) float64 { return float64(st.Hits) })
-	counter("cacqr_plan_cache_misses_total", "Plan lookups that missed the cache.",
-		func(st cacqr.ServerStats) float64 { return float64(st.Misses) })
-	counter("cacqr_plan_cache_evictions_total", "Plans evicted from the LRU.",
-		func(st cacqr.ServerStats) float64 { return float64(st.Evictions) })
-	counter("cacqr_serve_overloaded_total", "Requests refused at admission.",
-		func(st cacqr.ServerStats) float64 { return float64(st.Overloaded) })
-	counter("cacqr_serve_fused_requests_total", "Request units executed inside fused batches.",
-		func(st cacqr.ServerStats) float64 { return float64(st.FusedRequests) })
-	gauge("cacqr_serve_pending", "Request units admitted and unfinished (queue depth).",
-		func(st cacqr.ServerStats) float64 { return float64(st.Pending) })
-	gauge("cacqr_serve_in_flight_ranks", "Simulated-rank tokens currently held.",
-		func(st cacqr.ServerStats) float64 { return float64(st.InFlightRanks) })
-	gauge("cacqr_serve_fuse_occupancy", "Payloads waiting in open fuse windows.",
-		func(st cacqr.ServerStats) float64 { return float64(st.FuseOccupancy) })
-	gauge("cacqr_plan_cache_entries", "Current plan-cache population.",
-		func(st cacqr.ServerStats) float64 { return float64(st.Entries) })
 }
 
 // request is the wire form of one factorize/solve call.
@@ -446,11 +469,7 @@ func handle(srv *cacqr.Server, solve bool, maxElems int64, quiet bool) http.Hand
 			})
 			logLine(req, res, err)
 			if err != nil {
-				code := http.StatusUnprocessableEntity
-				if errors.Is(err, cacqr.ErrOverloaded) {
-					code = http.StatusServiceUnavailable
-				}
-				writeError(w, code, err)
+				writeError(w, submitStatus(err), err)
 				return
 			}
 			out := response{
@@ -497,12 +516,7 @@ func handle(srv *cacqr.Server, solve bool, maxElems int64, quiet bool) http.Hand
 		res, err := srv.SubmitCtx(r.Context(), sub)
 		logLine(req, res, err)
 		if err != nil {
-			code := http.StatusUnprocessableEntity
-			if errors.Is(err, cacqr.ErrOverloaded) {
-				// Shed load visibly: clients should back off, not queue.
-				code = http.StatusServiceUnavailable
-			}
-			writeError(w, code, err)
+			writeError(w, submitStatus(err), err)
 			return
 		}
 		out := response{
@@ -524,6 +538,21 @@ func handle(srv *cacqr.Server, solve bool, maxElems int64, quiet bool) http.Hand
 			out.Q, out.R = res.Q.Data, res.R.Data
 		}
 		writeJSON(w, http.StatusOK, out)
+	}
+}
+
+// submitStatus maps a failed submission to its HTTP status: 503 for a
+// refusal at admission (shed load visibly: clients should back off, not
+// queue), 400 for a matrix holding or overflowing to non-finite values,
+// and 422 for every other failure.
+func submitStatus(err error) int {
+	switch {
+	case errors.Is(err, cacqr.ErrOverloaded):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, cacqr.ErrNonFinite):
+		return http.StatusBadRequest
+	default:
+		return http.StatusUnprocessableEntity
 	}
 }
 
@@ -591,26 +620,9 @@ func statsJSON(st cacqr.ServerStats, tracer *cacqr.Tracer) map[string]any {
 	if st.Latencies == nil {
 		st.Latencies = map[string]hist.Summary{}
 	}
-	out := map[string]any{
-		"requests":        st.Requests,
-		"lookups":         st.Lookups,
-		"hits":            st.Hits,
-		"misses":          st.Misses,
-		"evictions":       st.Evictions,
-		"entries":         st.Entries,
-		"planned":         st.Planned,
-		"batched":         st.Batched,
-		"leads":           st.Leads,
-		"in_flight_ranks": st.InFlightRanks,
-		"rank_budget":     st.RankBudget,
-		"hit_rate":        st.HitRate(),
-		"pending":         st.Pending,
-		"max_pending":     st.MaxPending,
-		"overloaded":      st.Overloaded,
-		"fused_batches":   st.FusedBatches,
-		"fused_requests":  st.FusedRequests,
-		"fuse_occupancy":  st.FuseOccupancy,
-		"latencies":       st.Latencies,
+	out := map[string]any{"hit_rate": st.HitRate(), "latencies": st.Latencies}
+	for _, f := range serveFields {
+		out[f.key] = f.get(st)
 	}
 	if m := tracer.Metrics().Snapshot(); m != nil {
 		out["metrics"] = m

@@ -5,6 +5,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -494,4 +495,64 @@ func merge(base map[string]any, kv ...any) map[string]any {
 		out[kv[i].(string)] = kv[i+1]
 	}
 	return out
+}
+
+// /stats and /metrics read one field table: after traffic, every /stats
+// counter that has a /metrics series reports the same value on both.
+func TestStatsAndMetricsAgree(t *testing.T) {
+	ts, _ := newTracedDaemon(t)
+	for seed := 0; seed < 3; seed++ {
+		resp, out := postFactorize(t, ts, map[string]any{
+			"m": 256, "n": 16, "procs": 4, "condest": 10,
+			"gen": map[string]any{"seed": seed},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("factorize status %d: %v", resp.StatusCode, out)
+		}
+	}
+	st := getJSON(t, ts.URL+"/stats")
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	series := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			series[name] = val
+		}
+	}
+	checked := 0
+	for _, f := range serveFields {
+		if f.series == "" {
+			continue
+		}
+		got, ok := series[f.series]
+		if !ok {
+			t.Fatalf("/metrics has no %s series", f.series)
+		}
+		if want := fmt.Sprint(st[f.key]); got != want {
+			t.Errorf("%s = %s on /metrics, %s = %s on /stats", f.series, got, f.key, want)
+		}
+		checked++
+	}
+	if checked == 0 || st["requests"] != float64(3) {
+		t.Fatalf("checked %d series after 3 requests; /stats = %v", checked, st)
+	}
+}
+
+// A matrix that overflows the factorization is the caller's input
+// error: ErrNonFinite maps to 400, not 422.
+func TestNonFiniteMapsTo400(t *testing.T) {
+	ts := newTestDaemon(t)
+	data := make([]float64, 64*4)
+	for i := range data {
+		data[i] = float64(i%7) + 1
+	}
+	data[5] = 1e300
+	resp, out := postFactorize(t, ts, map[string]any{"m": 64, "n": 4, "data": data})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("1e300 entry: status %d (%v), want 400", resp.StatusCode, out)
+	}
 }

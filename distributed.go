@@ -1,11 +1,15 @@
 package cacqr
 
-// The shared execution path of every distributed entry point. Each
-// Factorize* driver validates its shape, builds a wireJob describing the
-// run, and hands it to runDistributed, which executes the same rank body
-// on the transport the Options select: the simulated goroutine runtime
-// (default — exact α-β-γ accounting) or real OS worker processes over
-// TCP (internal/transport/tcpnet — measured traffic and wall-clock).
+// The one execution path. Every in-core entry point — the Factorize*
+// drivers, FactorizePlan, AutoFactorize, SolveLeastSquares and the
+// Server's Submit* calls — describes its run as a plan.Plan row and
+// hands it to execute, which checks the row against the matrix before
+// any rank starts, then runs it streamed (stream-tsqr) or through
+// runDistributed on the transport the Options select: the simulated
+// goroutine runtime (default — exact α-β-γ accounting) or real OS
+// worker processes over TCP (internal/transport/tcpnet — measured
+// traffic and wall-clock), whose job payload carries the plan row
+// itself. jobBody is the single per-rank algorithm switch behind both.
 
 import (
 	"bytes"
@@ -13,6 +17,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -22,6 +27,7 @@ import (
 	"cacqr/internal/lin"
 	"cacqr/internal/obs"
 	"cacqr/internal/pgeqrf"
+	"cacqr/internal/plan"
 	"cacqr/internal/simmpi"
 	"cacqr/internal/transport"
 	"cacqr/internal/transport/tcpnet"
@@ -51,70 +57,179 @@ func TCPTransport(workers ...string) *Transport {
 
 func (t *Transport) isTCP() bool { return t != nil && t.tcp }
 
-// variant names the five distributed algorithms a wireJob can carry.
-const (
-	variantGrid      = "grid"
-	variant1D        = "1d"
-	variantShifted1D = "shifted1d"
-	variantTSQR      = "tsqr"
-	variantPGEQRF    = "pgeqrf"
-)
+// ErrNonFinite reports a NaN or ±Inf: in the input matrix, where it is
+// refused before any rank starts, or in a computed R, where the input's
+// scale overflowed the factorization. Either way no factors are
+// returned.
+var ErrNonFinite = errors.New("cacqr: non-finite values")
 
-// wireJob is the transport-independent description of one distributed
-// factorization: enough for any rank — local goroutine or remote
-// process — to run its share. Fields are exported for gob.
-type wireJob struct {
-	Variant string
-	M, N    int
-
-	Procs int // 1D family: rank count
-	C, D  int // grid variant: the c×d×c spec
-
-	PR, PC, NB int // pgeqrf: process grid and panel width
-
-	PanelWidth   int // grid panel variant / blocked TSQR width
-	InverseDepth int
-	BaseSize     int
-	Workers      int
-}
-
-// procs returns the job's rank count.
-func (job wireJob) procs() int {
-	switch job.Variant {
-	case variantGrid:
-		return job.C * job.D * job.C
-	case variantPGEQRF:
-		return job.PR * job.PC
-	default:
-		return job.Procs
+// checkInput refuses a matrix whose data does not match its shape or
+// holds a NaN or ±Inf entry — the up-front check behind every in-core
+// entry point, run before the κ estimate and before any rank starts.
+func checkInput(a *Dense) error {
+	if a == nil || a.Rows < 0 || a.Cols < 0 || len(a.Data) != a.Rows*a.Cols {
+		return fmt.Errorf("cacqr: malformed input matrix")
 	}
+	if i := firstNonFinite(a.Data); i >= 0 {
+		return fmt.Errorf("%w: A(%d,%d) = %g", ErrNonFinite, i/a.Cols, i%a.Cols, a.Data[i])
+	}
+	return nil
 }
 
-// localInput stages rank's input block for job. The grid variant
-// returns nil: it scatters from rank 0 through the transport itself,
-// exactly as a cluster would load it.
-func localInput(job wireJob, global *lin.Matrix, rank int) (*lin.Matrix, error) {
-	switch job.Variant {
-	case variantGrid:
+// checkR refuses a factorization whose R is not finite — an n² scan
+// before a run reports success. The input was checked finite, so its
+// scale overflowed the Gram matrix or a reflector norm.
+func checkR(r []float64, v plan.Variant) error {
+	if firstNonFinite(r) >= 0 {
+		return fmt.Errorf("%w: %s computed a non-finite R", ErrNonFinite, v)
+	}
+	return nil
+}
+
+// firstNonFinite returns the index of the first NaN or ±Inf in xs, or
+// -1. x−x is 0 for every finite x and NaN otherwise.
+func firstNonFinite(xs []float64) int {
+	for i, x := range xs {
+		if math.IsNaN(x - x) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkPlan checks plan row p against an m×n input and returns it with
+// Procs (and the 1D family's C, D) filled in. It is the one shape check
+// behind every in-core entry point and runs before any rank starts, so
+// an infeasible row — a hand-built one, or an explicit grid that does
+// not fit the matrix — fails with a cacqr: error instead of inside the
+// ranks.
+func checkPlan(p Plan, m, n int) (Plan, error) {
+	if n < 1 || m < n {
+		return Plan{}, fmt.Errorf("cacqr: %s needs a tall matrix (m ≥ n ≥ 1), got %dx%d", p.Variant, m, n)
+	}
+	switch p.Variant {
+	case plan.Sequential, plan.StreamTSQR:
+		p.C, p.D, p.Procs = 1, 1, 1
+		if p.Variant == plan.StreamTSQR && (p.PanelWidth < 0 || resolvePanelRows(p.PanelWidth, m, n) < n) {
+			return Plan{}, fmt.Errorf("cacqr: stream panel rows %d for a %dx%d matrix (need n ≤ rows)", p.PanelWidth, m, n)
+		}
+	case plan.OneD, plan.ShiftedCQR3, plan.TSQR:
+		if p.Procs < 1 {
+			return Plan{}, fmt.Errorf("cacqr: invalid processor count %d", p.Procs)
+		}
+		if m%p.Procs != 0 {
+			return Plan{}, fmt.Errorf("cacqr: m=%d not divisible by P=%d", m, p.Procs)
+		}
+		p.C, p.D = 1, p.Procs
+		if p.Variant != plan.TSQR {
+			break
+		}
+		rows, b := m/p.Procs, p.PanelWidth
+		switch {
+		case p.Procs&(p.Procs-1) != 0:
+			return Plan{}, fmt.Errorf("cacqr: TSQR needs a power-of-two P, got %d", p.Procs)
+		case b < 0 || b > 0 && (n%b != 0 || rows < b):
+			return Plan{}, fmt.Errorf("cacqr: TSQR panel width %d needs b | n and b ≤ m/P (n=%d, m/P=%d)", b, n, rows)
+		case b == 0 && rows < n:
+			return Plan{}, fmt.Errorf("cacqr: TSQR local block %dx%d is not tall (need m/P ≥ n, or a panel width)", rows, n)
+		}
+	case plan.CACQR2, plan.PanelCACQR2:
+		spec := GridSpec{C: p.C, D: p.D}
+		if err := spec.validate(); err != nil {
+			return Plan{}, err
+		}
+		if m%p.D != 0 || n%p.C != 0 {
+			return Plan{}, fmt.Errorf("cacqr: %dx%d matrix not divisible by the %dx%dx%d grid (need d | m, c | n)",
+				m, n, p.C, p.D, p.C)
+		}
+		if b := p.PanelWidth; p.Variant == plan.PanelCACQR2 && (b < 1 || b%p.C != 0 || n%b != 0) {
+			return Plan{}, fmt.Errorf("cacqr: panel width %d needs c | b and b | n (c=%d, n=%d)", b, p.C, n)
+		}
+		p.Procs = spec.Procs()
+	case plan.PGEQRF:
+		pr, pc, nb := p.D, p.C, p.PanelWidth
+		switch {
+		case pr < 1 || pc < 1:
+			return Plan{}, fmt.Errorf("cacqr: invalid process grid %dx%d", pr, pc)
+		case m%pr != 0:
+			return Plan{}, fmt.Errorf("cacqr: m=%d not divisible by pr=%d", m, pr)
+		case nb < 1 || n%nb != 0:
+			return Plan{}, fmt.Errorf("cacqr: PGEQRF block size %d does not divide n=%d", nb, n)
+		}
+		p.Procs = pr * pc
+	default:
+		return Plan{}, fmt.Errorf("cacqr: plan variant %q is not executable", p.Variant)
+	}
+	return p, nil
+}
+
+// execute runs plan row p on a: the one execution path behind every
+// in-core entry point — the Factorize* drivers, FactorizePlan,
+// AutoFactorize, both SolveLeastSquares modes and every Server.Submit*.
+// It checks the options, the row and the input before any rank starts,
+// then runs the row streamed (stream-tsqr) or on the transport the
+// options select, and refuses a non-finite R.
+func execute(a *Dense, p Plan, opts Options) (*Result, error) {
+	if err := checkOptions(opts); err != nil {
+		return nil, err
+	}
+	if err := checkInput(a); err != nil {
+		return nil, err
+	}
+	p, err := checkPlan(p, a.Rows, a.Cols)
+	if err != nil {
+		return nil, err
+	}
+	var res *Result
+	if p.Variant == plan.StreamTSQR {
+		// Out-of-core run of an in-memory matrix: peak additional memory
+		// stays at one panel plus the R-chain, so the budget the planner
+		// honored is respected by the execution too.
+		opts.PanelRows = p.PanelWidth
+		res, err = FactorizeStreaming(SourceFromDense(a), SinkToDense(), opts)
+	} else {
+		res, err = runDistributed(p, a.toLin(), opts)
+	}
+	if err == nil {
+		err = checkR(res.R.Data, p.Variant)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// isGrid reports whether v runs on the c×d×c grid: those variants
+// scatter their input through the transport from rank 0.
+func isGrid(v plan.Variant) bool { return v == plan.CACQR2 || v == plan.PanelCACQR2 }
+
+// localInput stages rank's input block for the m×n plan row p. The grid
+// variants return nil: they scatter from rank 0 through the transport
+// itself, exactly as a cluster would load it.
+func localInput(p Plan, global *lin.Matrix, rank int) (*lin.Matrix, error) {
+	switch {
+	case isGrid(p.Variant):
 		return nil, nil
-	case variantPGEQRF:
-		return pgeqrf.LocalBlock(global, rank, job.PR, job.PC, job.NB)
+	case p.Variant == plan.PGEQRF:
+		return pgeqrf.LocalBlock(global, rank, p.D, p.C, p.PanelWidth)
 	default:
-		rows := job.M / job.Procs
-		return global.View(rank*rows, 0, rows, job.N).Clone(), nil
+		rows := global.Rows / p.Procs
+		return global.View(rank*rows, 0, rows, global.Cols).Clone(), nil
 	}
 }
 
-// jobPayload is the gob blob shipped to a TCP worker: the job spec plus
-// the rank's staged input block (absent for the grid variant).
+// jobPayload is the gob blob shipped to a TCP worker: the plan row
+// itself, the shape and kernel knobs, and the rank's staged input block
+// (absent for the grid variants).
 type jobPayload struct {
-	Job        wireJob
+	Plan       plan.Plan
+	M, N       int
+	Params     core.Params
 	Rows, Cols int
 	Data       []float64
 }
 
-func encodeJobPayload(job wireJob, local *lin.Matrix) ([]byte, error) {
-	pl := jobPayload{Job: job}
+func encodeJobPayload(pl jobPayload, local *lin.Matrix) ([]byte, error) {
 	if local != nil {
 		pl.Rows, pl.Cols = local.Rows, local.Cols
 		pl.Data = dist.Flatten(local)
@@ -126,37 +241,38 @@ func encodeJobPayload(job wireJob, local *lin.Matrix) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func decodeJobPayload(payload []byte) (wireJob, *lin.Matrix, error) {
+func decodeJobPayload(payload []byte) (jobPayload, *lin.Matrix, error) {
 	var pl jobPayload
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&pl); err != nil {
-		return wireJob{}, nil, fmt.Errorf("cacqr: bad worker payload: %w", err)
+		return jobPayload{}, nil, fmt.Errorf("cacqr: bad worker payload: %w", err)
 	}
 	var local *lin.Matrix
 	if pl.Rows != 0 || pl.Cols != 0 {
 		var err error
 		local, err = dist.Unflatten(pl.Rows, pl.Cols, pl.Data)
 		if err != nil {
-			return wireJob{}, nil, fmt.Errorf("cacqr: bad worker payload: %w", err)
+			return jobPayload{}, nil, fmt.Errorf("cacqr: bad worker payload: %w", err)
 		}
 	}
-	return pl.Job, local, nil
+	return pl, local, nil
 }
 
-// jobBody returns one rank's share of job — the single algorithm
-// dispatch behind every execution context: each simulated rank, the TCP
+// jobBody returns one rank's share of the job — the single algorithm
+// switch behind every execution context: each simulated rank, the TCP
 // coordinator (rank 0), and each TCP worker.
 //
 // local is the rank's staged input block (nil to derive it from
-// globalAtRoot, or for the grid variant, which scatters through the
+// globalAtRoot, or for the grid variants, which scatter through the
 // transport). globalAtRoot is the full matrix where present — every
 // simulated rank shares the closure view, the TCP coordinator holds its
 // own; TCP workers have neither. sink, when non-nil, receives the
 // gathered global factors on rank 0.
-func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func(q, r *lin.Matrix)) func(p transport.Proc) error {
+func jobBody(job jobPayload, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func(q, r *lin.Matrix)) func(p transport.Proc) error {
+	pl, m, n, prm := job.Plan, job.M, job.N, job.Params
 	return func(p transport.Proc) error {
-		if local == nil && job.Variant != variantGrid {
+		if local == nil && !isGrid(pl.Variant) {
 			var err error
-			local, err = localInput(job, globalAtRoot, p.Rank())
+			local, err = localInput(pl, globalAtRoot, p.Rank())
 			if err != nil {
 				return err
 			}
@@ -166,10 +282,9 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 				sink(q, r)
 			}
 		}
-		m, n := job.M, job.N
-		switch job.Variant {
-		case variantGrid:
-			g, err := grid.New(p.World(), job.C, job.D)
+		switch pl.Variant {
+		case plan.CACQR2, plan.PanelCACQR2:
+			g, err := grid.New(p.World(), pl.C, pl.D)
 			if err != nil {
 				return err
 			}
@@ -181,7 +296,7 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			}
 			var ad *dist.Matrix
 			if g.Z == 0 {
-				ad, err = dist.Scatter(g.Slice, 0, rootGlobal, m, n, job.D, job.C)
+				ad, err = dist.Scatter(g.Slice, 0, rootGlobal, m, n, pl.D, pl.C)
 				if err != nil {
 					return err
 				}
@@ -194,39 +309,42 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			if err != nil {
 				return err
 			}
-			blk, err := dist.Unflatten(m/job.D, n/job.C, flat)
+			blk, err := dist.Unflatten(m/pl.D, n/pl.C, flat)
 			if err != nil {
 				return err
 			}
-			ad = &dist.Matrix{M: m, N: n, PR: job.D, PC: job.C, Row: g.Y, Col: g.X, Local: blk}
-			prm := core.Params{InverseDepth: job.InverseDepth, BaseSize: job.BaseSize, Workers: job.Workers}
 			var qL, rL *lin.Matrix
-			if job.PanelWidth > 0 {
-				qL, rL, err = core.PanelCACQR2(g, ad.Local, m, n, job.PanelWidth, prm)
+			if pl.Variant == plan.PanelCACQR2 {
+				qL, rL, err = core.PanelCACQR2(g, blk, m, n, pl.PanelWidth, prm)
 			} else {
-				qL, rL, err = core.CACQR2(g, ad.Local, m, n, prm)
+				qL, rL, err = core.CACQR2(g, blk, m, n, prm)
 			}
 			if err != nil {
 				return err
 			}
-			qG, err := dist.Gather(g.Slice, qL, m, n, job.D, job.C)
+			qG, err := dist.Gather(g.Slice, qL, m, n, pl.D, pl.C)
 			if err != nil {
 				return err
 			}
-			rG, err := dist.Gather(g.Cube.Slice, rL, n, n, job.C, job.C)
+			rG, err := dist.Gather(g.Cube.Slice, rL, n, n, pl.C, pl.C)
 			if err != nil {
 				return err
 			}
 			emit(qG, rG)
 			return nil
 
-		case variant1D, variantShifted1D:
+		case plan.Sequential, plan.OneD, plan.ShiftedCQR3, plan.TSQR:
 			var qL, rL *lin.Matrix
 			var err error
-			if job.Variant == variant1D {
-				qL, rL, err = core.OneDCQR2(p.World(), local, m, n, job.Workers)
-			} else {
-				qL, rL, err = core.OneDShiftedCQR3(p.World(), local, m, n, job.Workers)
+			switch {
+			case pl.Variant == plan.ShiftedCQR3:
+				qL, rL, err = core.OneDShiftedCQR3(p.World(), local, m, n, prm.Workers)
+			case pl.Variant != plan.TSQR:
+				qL, rL, err = core.OneDCQR2(p.World(), local, m, n, prm.Workers)
+			case pl.PanelWidth > 0:
+				qL, rL, err = tsqr.BlockedFactor(p.World(), local, m, n, pl.PanelWidth, prm.Workers)
+			default:
+				qL, rL, err = tsqr.Factor(p.World(), local, m, n, prm.Workers)
 			}
 			if err != nil {
 				return err
@@ -238,30 +356,13 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			emit(qG, rL)
 			return nil
 
-		case variantTSQR:
-			var qL, rL *lin.Matrix
-			var err error
-			if job.PanelWidth > 0 {
-				qL, rL, err = tsqr.BlockedFactor(p.World(), local, m, n, job.PanelWidth, job.Workers)
-			} else {
-				qL, rL, err = tsqr.Factor(p.World(), local, m, n, job.Workers)
-			}
+		case plan.PGEQRF:
+			pr := pl.D
+			g, err := pgeqrf.NewGrid(p.World(), pr, pl.C)
 			if err != nil {
 				return err
 			}
-			qG, err := allgatherQ(p, qL, m, n)
-			if err != nil {
-				return err
-			}
-			emit(qG, rL)
-			return nil
-
-		case variantPGEQRF:
-			g, err := pgeqrf.NewGrid(p.World(), job.PR, job.PC)
-			if err != nil {
-				return err
-			}
-			am, err := pgeqrf.NewMatrixLocal(g, local, m, n, job.NB)
+			am, err := pgeqrf.NewMatrixLocal(g, local, m, n, pl.PanelWidth)
 			if err != nil {
 				return err
 			}
@@ -279,7 +380,7 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			mloc := am.Local.Rows
 			e := lin.NewMatrix(mloc, n)
 			for li := 0; li < mloc; li++ {
-				if gi := li*job.PR + g.Row; gi < n {
+				if gi := li*pr + g.Row; gi < n {
 					e.Set(li, gi, 1)
 				}
 			}
@@ -293,7 +394,7 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			contrib := lin.NewMatrix(m, n)
 			if g.Col == 0 {
 				for li := 0; li < mloc; li++ {
-					gi := li*job.PR + g.Row
+					gi := li*pr + g.Row
 					for j := 0; j < n; j++ {
 						contrib.Set(gi, j, qL.At(li, j))
 					}
@@ -313,7 +414,7 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			emit(qG, rG)
 			return nil
 		}
-		return fmt.Errorf("cacqr: unknown job variant %q", job.Variant)
+		return fmt.Errorf("cacqr: plan variant %q does not run on ranks", pl.Variant)
 	}
 }
 
@@ -337,9 +438,13 @@ func runTimeout(opts Options) time.Duration {
 	return opts.Timeout
 }
 
-// runDistributed executes job on the transport Options select and
-// assembles the Result. The callers have already validated shapes.
-func runDistributed(job wireJob, global *lin.Matrix, opts Options) (*Result, error) {
+// runDistributed runs the checked plan row p on the transport Options
+// select and assembles the Result.
+func runDistributed(p Plan, global *lin.Matrix, opts Options) (*Result, error) {
+	job := jobPayload{
+		Plan: p, M: global.Rows, N: global.Cols,
+		Params: core.Params{InverseDepth: opts.InverseDepth, BaseSize: opts.BaseSize, Workers: opts.Workers},
+	}
 	var q, r *lin.Matrix
 	sink := func(qG, rG *lin.Matrix) { q, r = qG, rG }
 
@@ -368,12 +473,12 @@ func runDistributed(job wireJob, global *lin.Matrix, opts Options) (*Result, err
 // per live local rank (liveRanks of them; TCP workers are remote and
 // get theirs synthesized from counters post-run). When the request is
 // untraced everything here is nil and the run pays nil checks only.
-func startRunSpans(opts Options, job wireJob, transportName string, liveRanks int) (*obs.Span, []*obs.Span) {
-	spans := make([]*obs.Span, job.procs())
+func startRunSpans(opts Options, p Plan, transportName string, liveRanks int) (*obs.Span, []*obs.Span) {
+	spans := make([]*obs.Span, p.Procs)
 	run := obs.FromContext(opts.ctx).Child("run")
 	run.SetStr("transport", transportName)
-	run.SetStr("variant", job.Variant)
-	run.SetInt("procs", int64(job.procs()))
+	run.SetStr("variant", string(p.Variant))
+	run.SetInt("procs", int64(p.Procs))
 	for i := 0; i < liveRanks && i < len(spans); i++ {
 		spans[i] = run.Rank(fmt.Sprintf("rank-%d", i))
 	}
@@ -419,13 +524,13 @@ func finishRunSpans(run *obs.Span, spans []*obs.Span, st *transport.Stats) {
 // Options adds cancellation alongside the watchdog timeout; a span on
 // it records the run, with every rank wrapped by transport.Traced so
 // collectives and kernel stages land under per-rank spans.
-func runSim(job wireJob, global *lin.Matrix, opts Options, sink func(q, r *lin.Matrix)) (*transport.Stats, error) {
+func runSim(job jobPayload, global *lin.Matrix, opts Options, sink func(q, r *lin.Matrix)) (*transport.Stats, error) {
 	sopts := simmpi.Options{Timeout: runTimeout(opts)}
 	if opts.ctx != nil {
 		sopts.Cancel = opts.ctx.Done()
 	}
-	run, rankSpans := startRunSpans(opts, job, "sim", job.procs())
-	st, err := simmpi.RunWithOptions(job.procs(), sopts, func(p *simmpi.Proc) error {
+	run, rankSpans := startRunSpans(opts, job.Plan, "sim", job.Plan.Procs)
+	st, err := simmpi.RunWithOptions(job.Plan.Procs, sopts, func(p *simmpi.Proc) error {
 		return jobBody(job, nil, global, sink)(transport.Traced(p, rankSpans[p.Rank()]))
 	})
 	finishRunSpans(run, rankSpans, st)
@@ -439,15 +544,15 @@ func runSim(job wireJob, global *lin.Matrix, opts Options, sink func(q, r *lin.M
 // rank 0, the first np−1 configured workers host ranks 1..np−1. Input
 // blocks ship inside each worker's job payload, out of band of the
 // charged transport operations.
-func runTCP(job wireJob, global *lin.Matrix, opts Options, sink func(q, r *lin.Matrix)) (*transport.Stats, error) {
-	np := job.procs()
+func runTCP(job jobPayload, global *lin.Matrix, opts Options, sink func(q, r *lin.Matrix)) (*transport.Stats, error) {
+	np := job.Plan.Procs
 	workers := opts.Transport.workers
 	if len(workers) < np-1 {
 		return nil, fmt.Errorf("cacqr: job needs %d ranks but the TCP transport has a coordinator plus only %d workers", np, len(workers))
 	}
 	payloads := make([][]byte, np)
 	for rank := 1; rank < np; rank++ {
-		local, err := localInput(job, global, rank)
+		local, err := localInput(job.Plan, global, rank)
 		if err != nil {
 			return nil, err
 		}
@@ -456,7 +561,7 @@ func runTCP(job wireJob, global *lin.Matrix, opts Options, sink func(q, r *lin.M
 			return nil, err
 		}
 	}
-	local0, err := localInput(job, global, 0)
+	local0, err := localInput(job.Plan, global, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +574,7 @@ func runTCP(job wireJob, global *lin.Matrix, opts Options, sink func(q, r *lin.M
 	// Only rank 0 runs in this process, so only it gets a live span;
 	// worker ranks get theirs synthesized from the counters the
 	// coordinator collects over the control connections.
-	run, rankSpans := startRunSpans(opts, job, "tcp", 1)
+	run, rankSpans := startRunSpans(opts, job.Plan, "tcp", 1)
 	coord := &tcpnet.Coordinator{Workers: workers[:np-1]}
 	st, err := coord.Run(ctx,
 		func(rank int) []byte { return payloads[rank] },

@@ -1,25 +1,21 @@
 package core
 
-import (
-	"fmt"
-
-	"cacqr/internal/lin"
-)
+import "cacqr/internal/lin"
 
 // Batched CholeskyQR drivers: the throughput mode for floods of
 // same-shape small/medium factorizations. The CA-CQR2 insight — amortize
 // the Gram/Cholesky work's fixed costs across blocks — applies to
 // traffic too: a batch window of 512×32 regressions should cost one
-// fused BatchSYRK/BatchGEMM sweep per pass, not one goroutine-pool
-// spin-up per request. Parallelism comes from the batch dimension (items
-// spread over the shared worker pool), while each item runs exactly the
-// serial kernel sequence of CholeskyQR2/ShiftedCQR3 — so per-item
-// results are bitwise identical to the sequential drivers, which are in
-// turn bitwise invariant in Workers.
+// fused BatchSYRK sweep and one pooled update sweep per pass, not one
+// goroutine-pool spin-up per request. Parallelism comes from the batch
+// dimension (items spread over the shared worker pool), while each item
+// runs exactly the serial kernel sequence of CholeskyQR2/ShiftedCQR3 —
+// so per-item results are bitwise identical to the sequential drivers,
+// which are in turn bitwise invariant in Workers.
 
 // BatchedCQR2 factors every matrix in as (all the same m×n shape, m ≥ n)
 // by two fused CholeskyQR passes: one BatchSYRK for all Gram matrices,
-// then one pooled sweep of per-item CholInv plus the in-place triangular
+// then one pooled sweep of per-item Cholesky plus the in-place triangular
 // Q update — per pass, for the whole batch. Results are bitwise identical to
 // calling CholeskyQR2(as[i], 1) per item. Failures are per item: an
 // ill-conditioned member gets errs[i] (wrapping ErrIllConditioned) and
@@ -90,13 +86,13 @@ func batchedQR(as []*lin.Matrix, workers int, shifted bool) (qs, rs []*lin.Matri
 // for every Gram matrix (accumulating into the freshly zeroed w slab
 // with beta=1, bitwise identical to the sequential beta=0
 // zero-then-accumulate minus the redundant clear), then one pooled
-// per-item sweep doing CholInv (with the Fukaya shift first when
-// shifted) and the in-place triangular Q update A_i := A_i·(L⁻¹)ᵀ —
-// the same Trmm the sequential drivers apply, so lanes stay bitwise
-// identical to CholeskyQR(as[i], 1). Updating lanes in place keeps the
-// throughput path to one m×n slab for the whole pipeline: no per-pass Q
-// slab allocation, and A_i is still cache-hot from its Gram computation
-// when its Q update runs. Items whose Cholesky breaks down get errs[i]
+// per-item sweep doing cholShifted (the Cholesky step every pass
+// shares, Fukaya shift included when shifted) and the in-place
+// triangular Q update A_i := A_i·(L⁻¹)ᵀ — the same Trmm the sequential
+// drivers apply, so lanes stay bitwise identical to CholeskyQR(as[i], 1).
+// Updating lanes in place keeps the throughput path to one m×n slab for
+// the whole pipeline: no per-pass Q slab allocation, and A_i is still
+// cache-hot from its Gram computation when its Q update runs. Items whose Cholesky breaks down get errs[i]
 // set and keep their (finite) lane contents; later passes skip them.
 func batchedPass(a *lin.Slab, workers int, shifted bool, errs []error) (q *lin.Slab, rts []*lin.Matrix) {
 	b, m, n := a.Batch, a.Rows, a.Cols
@@ -107,29 +103,9 @@ func batchedPass(a *lin.Slab, workers int, shifted bool, errs []error) (q *lin.S
 		if errs[i] != nil {
 			return
 		}
-		wi := w.Item(i)
-		if shifted {
-			// The Fukaya et al. shift, exactly as ShiftedCholeskyQR
-			// computes it: s = 11·(mn + n(n+1))·ε·‖A‖₂² with the Gram
-			// trace as the norm bound.
-			norm2sq := 0.0
-			for d := 0; d < n; d++ {
-				if v := wi.At(d, d); v > 0 {
-					norm2sq += v
-				}
-			}
-			s := 11 * float64(m*n+n*(n+1)) * lin.Eps * norm2sq
-			for d := 0; d < n; d++ {
-				wi.Set(d, d, wi.At(d, d)+s)
-			}
-		}
-		l, y, err := lin.CholInv(wi)
+		l, y, err := cholShifted(w.Item(i), m, shifted)
 		if err != nil {
-			if shifted {
-				errs[i] = fmt.Errorf("%w: shifted Gram still indefinite: %w", ErrIllConditioned, err)
-			} else {
-				errs[i] = fmt.Errorf("%w: %w", ErrIllConditioned, err)
-			}
+			errs[i] = err
 			return
 		}
 		lin.Trmm(lin.Right, lin.Lower, true, y, a.Item(i))

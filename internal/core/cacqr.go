@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"cacqr/internal/cfr3d"
@@ -134,6 +135,10 @@ func CACQR(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLoc
 	res, err := cfr3d.Factor(g.Cube, zBlock, n, cfr3d.Options{
 		BaseSize: prm.BaseSize, InverseDepth: prm.InverseDepth, Workers: prm.localWorkers(),
 	})
+	if errors.Is(err, lin.ErrNotPositiveDefinite) {
+		// The same Gram breakdown the 1D and sequential passes report.
+		return nil, nil, fmt.Errorf("%w: %w", ErrIllConditioned, err)
+	}
 	if err != nil {
 		return nil, nil, err
 	}

@@ -29,12 +29,12 @@ func OneDCQR(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int) (qLocal
 // oneDCholeskyQR is the shared body of the plain and shifted 1D
 // CholeskyQR passes. The only difference is the shifted variant's
 // diagonal shift s·I applied to the replicated Gram matrix before the
-// Cholesky factorization (Fukaya et al., the paper's reference [3]):
-// s = 11·(m·n + n·(n+1))·ε·‖A‖₂², bounded above via the Frobenius norm,
-// which is the trace of the already-Allreduced Gram matrix — no extra
-// communication and only O(n) uncharged local work. Keeping one body
-// keeps the cost charging in one place, so the "measured γ == predicted
-// γ" contract can never diverge between the two variants.
+// Cholesky factorization (Fukaya et al., the paper's reference [3]; see
+// cholShifted): its trace bound reads the already-Allreduced Gram
+// matrix — no extra communication and only O(n) uncharged local work.
+// Keeping one body keeps the cost charging in one place, so the
+// "measured γ == predicted γ" contract can never diverge between the
+// two variants.
 func oneDCholeskyQR(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int, shifted bool) (qLocal, r *lin.Matrix, err error) {
 	if workers < 1 {
 		workers = 1
@@ -69,29 +69,10 @@ func oneDCholeskyQR(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int, 
 		return nil, nil, err
 	}
 
-	if shifted {
-		// ‖A‖₂² ≤ ‖A‖_F² = trace(AᵀA); the shift only needs an upper
-		// bound, and the global trace is free once the Gram matrix is
-		// replicated.
-		norm2sq := 0.0
-		for i := 0; i < n; i++ {
-			if d := z.At(i, i); d > 0 {
-				norm2sq += d
-			}
-		}
-		s := 11 * float64(m*n+n*(n+1)) * lin.Eps * norm2sq
-		for i := 0; i < n; i++ {
-			z.Set(i, i, z.At(i, i)+s)
-		}
-	}
-
 	stg.Enter("cholesky")
-	l, y, err := lin.CholInv(z)
+	l, y, err := cholShifted(z, m, shifted)
 	if err != nil {
-		if shifted {
-			return nil, nil, fmt.Errorf("%w: shifted Gram still indefinite: %w", ErrIllConditioned, err)
-		}
-		return nil, nil, fmt.Errorf("%w: %w", ErrIllConditioned, err)
+		return nil, nil, err
 	}
 	if err := p.Compute(lin.CholFlops(n) + lin.TriInvFlops(n)); err != nil {
 		return nil, nil, err

@@ -30,20 +30,7 @@ var ErrIllConditioned = errors.New("core: matrix too ill-conditioned for Cholesk
 // workers bounds the goroutines the level-3 kernels may use (0 =
 // GOMAXPROCS, 1 = serial); results are identical for any value.
 func CholeskyQR(a *lin.Matrix, workers int) (q, r *lin.Matrix, err error) {
-	if a.Rows < a.Cols {
-		return nil, nil, lin.ErrShape
-	}
-	w := lin.SyrkNewParallel(workers, a)
-	l, y, err := lin.CholInv(w)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrIllConditioned, err)
-	}
-	// Q = A·R⁻¹ = A·(L⁻¹)ᵀ, applied as a triangular multiply: Y = L⁻¹ is
-	// lower triangular, so the dense GEMM formulation would spend half its
-	// flops multiplying by exact zeros.
-	q = a.Clone()
-	lin.TrmmParallel(workers, lin.Right, lin.Lower, true, y, q)
-	return q, l.T(), nil
+	return choleskyQR(a, workers, false)
 }
 
 // CholeskyQR2 computes A = Q·R by two CholeskyQR passes (Algorithm 5).
@@ -65,34 +52,62 @@ func CholeskyQR2(a *lin.Matrix, workers int) (q, r *lin.Matrix, err error) {
 
 // ShiftedCholeskyQR performs one CholeskyQR pass on the shifted Gram
 // matrix AᵀA + sI, which is positive definite for any A when the shift
-// follows Fukaya et al. (the paper's reference [3]):
-// s = 11·(m·n + n·(n+1))·ε·‖A‖₂². The resulting Q is far from orthogonal
-// but has condition number small enough for CholeskyQR2 to finish the
-// job.
+// follows Fukaya et al. (the paper's reference [3]; see cholShifted).
+// The resulting Q is far from orthogonal but has condition number small
+// enough for CholeskyQR2 to finish the job.
 func ShiftedCholeskyQR(a *lin.Matrix, workers int) (q, r *lin.Matrix, err error) {
+	return choleskyQR(a, workers, true)
+}
+
+// choleskyQR is the one sequential pass body behind CholeskyQR and
+// ShiftedCholeskyQR.
+func choleskyQR(a *lin.Matrix, workers int, shifted bool) (q, r *lin.Matrix, err error) {
 	if a.Rows < a.Cols {
 		return nil, nil, lin.ErrShape
 	}
-	m, n := a.Rows, a.Cols
-	w := lin.SyrkNewParallel(workers, a)
-	// ‖A‖₂² ≤ ‖A‖_F²; the bound only needs an upper estimate.
-	norm2sq := 0.0
-	for i := 0; i < n; i++ {
-		if d := w.At(i, i); d > 0 {
-			norm2sq += d
-		}
-	}
-	s := 11 * float64(m*n+n*(n+1)) * lin.Eps * norm2sq
-	for i := 0; i < n; i++ {
-		w.Set(i, i, w.At(i, i)+s)
-	}
-	l, y, err := lin.CholInv(w)
+	l, y, err := cholShifted(lin.SyrkNewParallel(workers, a), a.Rows, shifted)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: shifted Gram still indefinite: %w", ErrIllConditioned, err)
+		return nil, nil, err
 	}
+	// Q = A·R⁻¹ = A·(L⁻¹)ᵀ, applied as a triangular multiply: Y = L⁻¹ is
+	// lower triangular, so the dense GEMM formulation would spend half its
+	// flops multiplying by exact zeros.
 	q = a.Clone()
 	lin.TrmmParallel(workers, lin.Right, lin.Lower, true, y, q)
 	return q, l.T(), nil
+}
+
+// cholShifted is the Cholesky step every CholeskyQR pass shares — the
+// sequential, 1D and batched drivers alike. It factors the n×n Gram
+// matrix w of an m-row matrix in place into L = chol(w) and Y = L⁻¹,
+// wrapping a breakdown in ErrIllConditioned. With shifted, it first adds
+// the Fukaya et al. shift s·I, s = 11·(m·n + n·(n+1))·ε·‖A‖₂², bounding
+// ‖A‖₂² ≤ ‖A‖_F² = trace(w): the shift only needs an upper bound, and
+// the trace is O(n) local work on a Gram matrix every caller already
+// holds.
+func cholShifted(w *lin.Matrix, m int, shifted bool) (l, y *lin.Matrix, err error) {
+	n := w.Rows
+	if shifted {
+		norm2sq := 0.0
+		for i := 0; i < n; i++ {
+			if d := w.At(i, i); d > 0 {
+				norm2sq += d
+			}
+		}
+		s := 11 * float64(m*n+n*(n+1)) * lin.Eps * norm2sq
+		for i := 0; i < n; i++ {
+			w.Set(i, i, w.At(i, i)+s)
+		}
+	}
+	l, y, err = lin.CholInv(w)
+	switch {
+	case err == nil:
+		return l, y, nil
+	case shifted:
+		return nil, nil, fmt.Errorf("%w: shifted Gram still indefinite: %w", ErrIllConditioned, err)
+	default:
+		return nil, nil, fmt.Errorf("%w: %w", ErrIllConditioned, err)
+	}
 }
 
 // ShiftedCQR3 is the unconditionally stable three-pass variant the

@@ -5,8 +5,8 @@ package lin
 // matrix — it is hundreds of 512×32 regressions or Kalman updates per
 // batch window — and dispatching each through its own kernel invocation
 // pays the goroutine hand-off cost per matrix. A Slab packs a whole batch
-// into one contiguous 3-D allocation [batch][rows][cols], and the Batch*
-// kernels sweep it with ONE worker-pool dispatch: the pool's dynamic
+// into one contiguous 3-D allocation [batch][rows][cols], and BatchSYRK
+// and BatchApply sweep it with ONE worker-pool dispatch: the pool's dynamic
 // chunk claiming spreads items over workers, while each item runs the
 // serial blocked kernel on its own lane. Per item the floating-point
 // operation sequence is exactly the serial kernel's, so batched results
@@ -86,42 +86,5 @@ func BatchSYRK(workers int, alpha float64, a *Slab, beta float64, c *Slab) {
 	}
 	BatchApply(workers, a.Batch, func(i int) {
 		Syrk(alpha, a.Item(i), beta, c.Item(i))
-	})
-}
-
-// BatchGEMM computes C_i = beta*C_i + alpha*op(A_i)*op(B_i) for every
-// item in one pool dispatch. Shapes are validated once for the whole
-// slab (items are same-shape by construction); each item then runs the
-// serial blocked Gemm, so results are bitwise identical to per-item
-// serial calls.
-func BatchGEMM(workers int, transA, transB bool, alpha float64, a, b *Slab, beta float64, c *Slab) {
-	if a.Batch != b.Batch || a.Batch != c.Batch {
-		panic(ErrShape)
-	}
-	if a.Batch == 0 {
-		return
-	}
-	checkGemmShapes(transA, transB, a.Item(0), b.Item(0), c.Item(0))
-	BatchApply(workers, a.Batch, func(i int) {
-		Gemm(transA, transB, alpha, a.Item(i), b.Item(i), beta, c.Item(i))
-	})
-}
-
-// BatchTRSM solves the per-item triangular systems in place — B_i :=
-// B_i·T_i⁻¹ (Right) or T_i⁻¹·B_i (Left) — in one pool dispatch: the
-// batched back-substitution stage of fused least-squares solves. t is
-// [batch][n][n], b conforms on the chosen side. Validation (shape,
-// nonsingular diagonals, implemented variant) runs up front for every
-// item so the pooled per-item solves cannot panic; results are bitwise
-// identical to per-item serial Trsm calls.
-func BatchTRSM(workers int, side Side, tri Triangle, transT bool, t, b *Slab) {
-	if t.Batch != b.Batch {
-		panic(ErrShape)
-	}
-	for i := 0; i < t.Batch; i++ {
-		checkTrsm(side, tri, transT, t.Item(i), b.Item(i))
-	}
-	BatchApply(workers, t.Batch, func(i int) {
-		Trsm(side, tri, transT, t.Item(i), b.Item(i))
 	})
 }

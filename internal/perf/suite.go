@@ -363,7 +363,7 @@ func Suite(quick bool, workers int) []Case {
 		},
 		{
 			// The fused path for the identical flood: one SubmitBatch —
-			// one plan resolution and one strided BatchSYRK/BatchGEMM
+			// one plan resolution and one strided BatchSYRK
 			// sweep per CholeskyQR pass for the whole batch. This row
 			// versus serve-sequential-submits is the ISSUE's ≥2×
 			// throughput acceptance gate.

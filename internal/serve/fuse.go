@@ -46,16 +46,12 @@ func (s *Server) DoFused(ctx context.Context, req plan.Request, payload any, lea
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !s.adm.admit(1) {
-		return plan.Plan{}, false, ErrOverloaded
-	}
-	defer s.adm.done(1)
-	if err := s.enter(1); err != nil {
+	release, err := s.admit(1)
+	if err != nil {
 		return plan.Plan{}, false, err
 	}
-	defer s.wg.Done()
+	defer release()
 	start := time.Now()
-	sp := obs.FromContext(ctx)
 	key := plan.KeyFor(req)
 
 	s.mu.Lock()
@@ -64,7 +60,7 @@ func (s *Server) DoFused(ctx context.Context, req plan.Request, payload any, lea
 		idx := len(g.payloads)
 		g.payloads = append(g.payloads, payload)
 		s.mu.Unlock()
-		js := sp.Stage("fuse-join")
+		js := obs.FromContext(ctx).Stage("fuse-join")
 		select {
 		case <-g.done:
 		case <-ctx.Done():
@@ -91,32 +87,20 @@ func (s *Server) DoFused(ctx context.Context, req plan.Request, payload any, lea
 	g.sealed = true
 	delete(s.fusing, key)
 	n := len(g.payloads)
-	s.fusedBatches++
-	s.fusedRequests += int64(n)
 	s.mu.Unlock()
+	s.countFused(n)
 
 	// One plan resolution for the group (no second window — the fuse
 	// window already played that role), then one fused execution.
-	ps := sp.Stage("plan")
-	g.plan, g.hit, g.err = s.resolve(ctx, key, req, int64(n), false)
-	ps.SetBool("cache_hit", g.hit)
-	ps.End()
-	if g.err == nil {
-		gs := sp.Stage("gate")
-		held, gerr := s.gate.acquire(ctx, g.plan.Procs)
-		gs.End()
-		if gerr != nil {
-			g.err = gerr
-		} else {
-			g.errs = lead(g.plan, g.payloads)
-			s.gate.release(held)
-			if g.errs == nil {
-				g.errs = make([]error, n)
-			} else if len(g.errs) != n {
-				g.err = fmt.Errorf("serve: fused lead returned %d results for %d payloads", len(g.errs), n)
-			}
+	g.plan, g.hit, g.err = s.run(ctx, key, req, n, false, func(p plan.Plan) error {
+		g.errs = lead(p, g.payloads)
+		if g.errs == nil {
+			g.errs = make([]error, n)
+		} else if len(g.errs) != n {
+			return fmt.Errorf("serve: fused lead returned %d results for %d payloads", len(g.errs), n)
 		}
-	}
+		return nil
+	})
 	close(g.done)
 	s.observe(key, time.Since(start), 1)
 	if g.err != nil {

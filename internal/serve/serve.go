@@ -223,40 +223,7 @@ func New(cfg Config) *Server {
 // ctx (obs.FromContext) gets "plan" and "gate" stage children; without
 // one, the instrumentation is free. Safe for arbitrary concurrent use.
 func (s *Server) Do(ctx context.Context, req plan.Request, exec func(plan.Plan) error) (plan.Plan, bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if !s.adm.admit(1) {
-		return plan.Plan{}, false, ErrOverloaded
-	}
-	defer s.adm.done(1)
-	if err := s.enter(1); err != nil {
-		return plan.Plan{}, false, err
-	}
-	defer s.wg.Done()
-	start := time.Now()
-	sp := obs.FromContext(ctx)
-
-	key := plan.KeyFor(req)
-	ps := sp.Stage("plan")
-	p, hit, err := s.resolve(ctx, key, req, 1, true)
-	ps.SetBool("cache_hit", hit)
-	ps.End()
-	if err != nil {
-		return plan.Plan{}, false, err
-	}
-	if exec != nil {
-		gs := sp.Stage("gate")
-		held, gerr := s.gate.acquire(ctx, p.Procs)
-		gs.End()
-		if gerr != nil {
-			return plan.Plan{}, false, gerr
-		}
-		err = exec(p)
-		s.gate.release(held)
-	}
-	s.observe(key, time.Since(start), 1)
-	return p, hit, err
+	return s.doUnits(ctx, req, 1, false, exec)
 }
 
 // DoBatch is Do for a caller-assembled batch of n same-key requests
@@ -265,61 +232,88 @@ func (s *Server) Do(ctx context.Context, req plan.Request, exec func(plan.Plan) 
 // acquisition, one exec call, n latency observations. exec runs the
 // whole batch; per-item failures are the caller's to track.
 func (s *Server) DoBatch(ctx context.Context, req plan.Request, n int, exec func(plan.Plan) error) (plan.Plan, bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if n <= 0 {
 		return plan.Plan{}, false, fmt.Errorf("serve: DoBatch of %d requests", n)
 	}
-	if !s.adm.admit(n) {
-		return plan.Plan{}, false, ErrOverloaded
+	return s.doUnits(ctx, req, n, true, exec)
+}
+
+// doUnits is Do and DoBatch: admit units request units, run them as one
+// execution — a fused batch when fused, which also skips the batch
+// window — and record their latency.
+func (s *Server) doUnits(ctx context.Context, req plan.Request, units int, fused bool, exec func(plan.Plan) error) (plan.Plan, bool, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	defer s.adm.done(n)
-	if err := s.enter(int64(n)); err != nil {
+	release, err := s.admit(units)
+	if err != nil {
 		return plan.Plan{}, false, err
 	}
-	defer s.wg.Done()
+	defer release()
+	if fused {
+		s.countFused(units)
+	}
 	start := time.Now()
-	sp := obs.FromContext(ctx)
-
 	key := plan.KeyFor(req)
+	p, hit, err := s.run(ctx, key, req, units, !fused, exec)
+	s.observe(key, time.Since(start), units)
+	return p, hit, err
+}
+
+// run is the one execution body behind Do, DoBatch and the DoFused
+// leader: resolve the plan for units request units under the "plan"
+// stage, take the rank gate under the "gate" stage, and run exec while
+// holding it. wait lets a fresh lookup sit out the batch window. A nil
+// exec resolves only.
+func (s *Server) run(ctx context.Context, key plan.CacheKey, req plan.Request, units int, wait bool, exec func(plan.Plan) error) (plan.Plan, bool, error) {
+	sp := obs.FromContext(ctx)
 	ps := sp.Stage("plan")
-	p, hit, err := s.resolve(ctx, key, req, int64(n), false)
+	p, hit, err := s.resolve(ctx, key, req, int64(units), wait)
 	ps.SetBool("cache_hit", hit)
 	ps.End()
 	if err != nil {
 		return plan.Plan{}, false, err
 	}
-	if exec != nil {
-		gs := sp.Stage("gate")
-		held, gerr := s.gate.acquire(ctx, p.Procs)
-		gs.End()
-		if gerr != nil {
-			return plan.Plan{}, false, gerr
-		}
-		err = exec(p)
-		s.gate.release(held)
+	if exec == nil {
+		return p, hit, nil
 	}
-	s.mu.Lock()
-	s.fusedBatches++
-	s.fusedRequests += int64(n)
-	s.mu.Unlock()
-	s.observe(key, time.Since(start), n)
-	return p, hit, err
+	gs := sp.Stage("gate")
+	held, err := s.gate.acquire(ctx, p.Procs)
+	gs.End()
+	if err != nil {
+		return plan.Plan{}, false, err
+	}
+	defer s.gate.release(held)
+	return p, hit, exec(p)
 }
 
-// enter registers units admitted request units with the close
-// accounting: Close waits for every entered request, and nothing enters
-// after it. The caller must pair a successful enter with wg.Done.
-func (s *Server) enter(units int64) error {
+// admit takes units request units past the pending bound and into the
+// close accounting (Close waits for them, and nothing enters after
+// it). The caller must call release when the units finish.
+func (s *Server) admit(units int) (release func(), err error) {
+	if !s.adm.admit(units) {
+		return nil, ErrOverloaded
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrClosed
+		s.adm.done(units)
+		return nil, ErrClosed
 	}
-	s.requests += units
+	s.requests += int64(units)
 	s.wg.Add(1)
-	return nil
+	return func() {
+		s.wg.Done()
+		s.adm.done(units)
+	}, nil
+}
+
+// countFused records one fused execution carrying units request units.
+func (s *Server) countFused(units int) {
+	s.mu.Lock()
+	s.fusedBatches++
+	s.fusedRequests += int64(units)
+	s.mu.Unlock()
 }
 
 // resolve produces the plan for key — from cache, by riding an in-flight

@@ -209,17 +209,25 @@ func (s *Server) Submit(req SubmitRequest) (*SubmitResult, error) {
 // tree (condest → plan → gate → execute → per-rank kernel stages and
 // collectives) retrievable by the result's TraceID.
 func (s *Server) SubmitCtx(ctx context.Context, req SubmitRequest) (*SubmitResult, error) {
-	tr, ctx := s.opts.Options.Tracer.Start(ctx, "factorize")
-	res, err := s.submit(ctx, req)
+	return s.traced(ctx, "factorize", req.CondEst, func(ctx context.Context) (*SubmitResult, error) {
+		return s.submit(ctx, req)
+	})
+}
+
+// traced is the request wrapper SubmitCtx and SubmitStreamCtx share: it
+// runs body under a freshly started (or unsampled) trace named name,
+// stamps the executed plan on the trace's root, and counts the request
+// under the caller's κ hint.
+func (s *Server) traced(ctx context.Context, name string, hint float64, body func(context.Context) (*SubmitResult, error)) (*SubmitResult, error) {
+	tr, ctx := s.opts.Options.Tracer.Start(ctx, name)
+	res, err := body(ctx)
 	if res != nil {
 		res.TraceID = tr.ID()
-		if res.Plan != nil {
-			root := tr.Root()
-			root.SetStr("variant", string(res.Plan.Variant))
-			root.SetBool("cache_hit", res.PlanCacheHit)
-		}
+		root := tr.Root()
+		root.SetStr("variant", string(res.Plan.Variant))
+		root.SetBool("cache_hit", res.PlanCacheHit)
 	}
-	s.countRequest(req, res, err)
+	s.countRequest(hint, res, err)
 	tr.Finish()
 	return res, err
 }
@@ -235,35 +243,38 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest) (*SubmitResult, 
 	if err != nil {
 		return nil, err
 	}
-	root := obs.FromContext(ctx)
-	root.SetInt("m", int64(req.A.Rows))
-	root.SetInt("n", int64(req.A.Cols))
-	root.SetInt("kappa_bucket", int64(plan.KappaBucket(cond)))
+	sp.SetInt("m", int64(req.A.Rows))
+	sp.SetInt("n", int64(req.A.Cols))
+	sp.SetInt("kappa_bucket", int64(plan.KappaBucket(cond)))
+	job := &submitJob{req: req, out: &SubmitResult{CondEst: cond}}
 	if s.opts.FuseWindow > 0 {
-		return s.submitFused(ctx, preq, req, cond)
+		return s.submitFused(ctx, preq, job)
 	}
-	out := &SubmitResult{CondEst: cond}
 	pl, hit, err := s.inner.Do(ctx, preq, func(p plan.Plan) error {
 		es := sp.Stage("execute")
 		defer es.End()
-		res, err := FactorizePlan(req.A, p, s.execOptions(obs.ContextWith(ctx, es)))
-		if err != nil {
-			return err
-		}
-		out.Q, out.R, out.Plan, out.Stats = res.Q, res.R, res.Plan, res.Stats
-		if req.B != nil {
-			out.X, err = solveWithQR(res.Q, res.R, req.B)
-		}
-		return err
+		return s.runOne(obs.ContextWith(ctx, es), p, job)
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.PlanCacheHit = hit
-	if out.Plan == nil { // defensive: the executor always sets it
-		out.Plan = &pl
+	job.out.Plan, job.out.PlanCacheHit = &pl, hit
+	return job.out, nil
+}
+
+// runOne is the per-request runner behind Submit and the unfused
+// members of a batch: it executes plan p on the request's matrix and,
+// for a solve, back-substitutes x.
+func (s *Server) runOne(ctx context.Context, p plan.Plan, job *submitJob) error {
+	res, err := execute(job.req.A, p, s.execOptions(ctx))
+	if err != nil {
+		return err
 	}
-	return out, nil
+	job.out.Q, job.out.R, job.out.Stats = res.Q, res.R, res.Stats
+	if job.req.B != nil {
+		job.out.X, err = solveWithQR(res.Q, res.R, job.req.B)
+	}
+	return err
 }
 
 // SubmitStream plans and executes one out-of-core request: the planner
@@ -279,19 +290,9 @@ func (s *Server) SubmitStream(req StreamRequest) (*SubmitResult, error) {
 
 // SubmitStreamCtx is SubmitStream with request-scoped cancellation.
 func (s *Server) SubmitStreamCtx(ctx context.Context, req StreamRequest) (*SubmitResult, error) {
-	tr, ctx := s.opts.Options.Tracer.Start(ctx, "factorize-stream")
-	res, err := s.submitStream(ctx, req)
-	if res != nil {
-		res.TraceID = tr.ID()
-		if res.Plan != nil {
-			root := tr.Root()
-			root.SetStr("variant", string(res.Plan.Variant))
-			root.SetBool("cache_hit", res.PlanCacheHit)
-		}
-	}
-	s.countRequest(SubmitRequest{CondEst: req.CondEst}, res, err)
-	tr.Finish()
-	return res, err
+	return s.traced(ctx, "factorize-stream", req.CondEst, func(ctx context.Context) (*SubmitResult, error) {
+		return s.submitStream(ctx, req)
+	})
 }
 
 // submitStream is the body of SubmitStreamCtx.
@@ -306,21 +307,18 @@ func (s *Server) submitStream(ctx context.Context, req StreamRequest) (*SubmitRe
 		}
 	}
 	m, n := req.Source.Dims()
-	budget := req.MemBudget
-	if budget == 0 {
-		budget = s.opts.Options.MemBudget
-	}
 	opts := s.opts.Options
 	opts.CondEst = req.CondEst
-	opts.MemBudget = budget
+	if req.MemBudget != 0 {
+		opts.MemBudget = req.MemBudget
+	}
 	// Streaming is single-rank; Procs = 1 keeps the plan cache key and
 	// the rank-gate claim honest.
 	preq := planRequest(m, n, 1, opts)
-	root := obs.FromContext(ctx)
-	root.SetInt("m", int64(m))
-	root.SetInt("n", int64(n))
-	root.SetInt("mem_budget", budget)
 	sp := obs.FromContext(ctx)
+	sp.SetInt("m", int64(m))
+	sp.SetInt("n", int64(n))
+	sp.SetInt("mem_budget", opts.MemBudget)
 	out := &SubmitResult{CondEst: req.CondEst}
 	pl, hit, err := s.inner.Do(ctx, preq, func(p plan.Plan) error {
 		es := sp.Stage("execute")
@@ -342,51 +340,49 @@ func (s *Server) submitStream(ctx context.Context, req StreamRequest) (*SubmitRe
 		if err != nil {
 			return err
 		}
-		res, err := FactorizePlan(a, p, eopts)
+		res, err := execute(a, p, eopts)
 		if err != nil {
 			return err
 		}
 		out.Q, out.R, out.Stats = res.Q, res.R, res.Stats
-		if req.Sink != nil && res.Q != nil {
-			snk, err := req.Sink.open(a.Rows, a.Cols)
-			if err != nil {
-				return err
-			}
-			if err := stream.Drain(stream.NewDenseSource(res.Q.toLin()), snk, 0); err != nil {
-				return err
-			}
-			return req.Sink.finish()
+		if req.Sink == nil {
+			return nil
 		}
-		return nil
+		snk, err := req.Sink.open(a.Rows, a.Cols)
+		if err != nil {
+			return err
+		}
+		if err := stream.Drain(stream.NewDenseSource(res.Q.toLin()), snk, 0); err != nil {
+			return err
+		}
+		return req.Sink.finish()
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.PlanCacheHit = hit
-	out.Plan = &pl
+	out.Plan, out.PlanCacheHit = &pl, hit
 	return out, nil
 }
 
 // countRequest folds one finished request into the Tracer registry's
 // cacqr_requests_total series — every request, sampled into a trace or
-// not, so the counters stay exact however aggressive the sampling. A
-// server without a tracer (or a tracer without metrics) pays a nil
-// check.
-func (s *Server) countRequest(req SubmitRequest, res *SubmitResult, err error) {
+// not, so the counters stay exact however aggressive the sampling. hint
+// is the caller's κ hint, the bucket of a request that failed before
+// its estimate. A server without a tracer (or a tracer without metrics)
+// pays a nil check.
+func (s *Server) countRequest(hint float64, res *SubmitResult, err error) {
 	m := s.opts.Options.Tracer.Metrics()
 	if m == nil {
 		return
 	}
 	variant, hit, bucket := "unknown", false, "unknown"
 	if res != nil {
-		if res.Plan != nil {
-			variant = string(res.Plan.Variant)
-		}
+		variant = string(res.Plan.Variant)
 		hit = res.PlanCacheHit
 		bucket = strconv.Itoa(plan.KappaBucket(res.CondEst))
-	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
-	} else if req.CondEst != 0 {
-		bucket = strconv.Itoa(plan.KappaBucket(req.CondEst))
+		//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
+	} else if hint != 0 {
+		bucket = strconv.Itoa(plan.KappaBucket(hint))
 	}
 	outcome := "ok"
 	switch {
@@ -404,7 +400,8 @@ func (s *Server) countRequest(req SubmitRequest, res *SubmitResult, err error) {
 
 // prepare validates one request and resolves its planner request: the
 // effective processor budget and the condition estimate (the caller's
-// hint, or the measured power-iteration value).
+// hint, or the measured power-iteration value). A matrix holding a NaN
+// or ±Inf is refused here, before the estimate, with ErrNonFinite.
 func (s *Server) prepare(req SubmitRequest) (plan.Request, float64, error) {
 	if req.A == nil {
 		return plan.Request{}, 0, fmt.Errorf("cacqr: Submit needs a matrix")
@@ -425,6 +422,9 @@ func (s *Server) prepare(req SubmitRequest) (plan.Request, float64, error) {
 	if procs < 1 {
 		return plan.Request{}, 0, fmt.Errorf("cacqr: invalid processor budget %d", procs)
 	}
+	if err := checkInput(req.A); err != nil {
+		return plan.Request{}, 0, err
+	}
 	cond := req.CondEst
 	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
 	if cond == 0 {
@@ -435,7 +435,8 @@ func (s *Server) prepare(req SubmitRequest) (plan.Request, float64, error) {
 	return planRequest(req.A.Rows, req.A.Cols, procs, opts), cond, nil
 }
 
-// submitJob is one request riding a fused execution.
+// submitJob is one request riding an execution: its input and, once
+// run, its result or error.
 type submitJob struct {
 	req SubmitRequest
 	out *SubmitResult
@@ -453,8 +454,7 @@ func (s *Server) execOptions(ctx context.Context) Options {
 // submitFused is Submit through the serve layer's fuse window:
 // concurrent same-key submissions coalesce into one fused batched
 // execution without the caller assembling a batch.
-func (s *Server) submitFused(ctx context.Context, preq plan.Request, req SubmitRequest, cond float64) (*SubmitResult, error) {
-	job := &submitJob{req: req, out: &SubmitResult{CondEst: cond}}
+func (s *Server) submitFused(ctx context.Context, preq plan.Request, job *submitJob) (*SubmitResult, error) {
 	pl, hit, err := s.inner.DoFused(ctx, preq, job, func(p plan.Plan, payloads []any) []error {
 		es := obs.FromContext(ctx).Stage("execute")
 		defer es.End()
@@ -473,17 +473,14 @@ func (s *Server) submitFused(ctx context.Context, preq plan.Request, req SubmitR
 	if err != nil {
 		return nil, err
 	}
-	job.out.PlanCacheHit = hit
-	if job.out.Plan == nil {
-		job.out.Plan = &pl
-	}
+	job.out.Plan, job.out.PlanCacheHit = &pl, hit
 	return job.out, nil
 }
 
 // SubmitBatch submits many requests as one call, fusing same-plan-key
 // groups into single batched executions through the strided batch
 // kernels: per group, one plan resolution, one rank-gate admission, one
-// BatchSYRK/BatchGEMM sweep per CholeskyQR pass — instead of one
+// BatchSYRK sweep per CholeskyQR pass — instead of one
 // goroutine-pool spin-up per request. Outcomes are per item and
 // index-aligned with reqs: a malformed or ill-conditioned member gets
 // its own Err without failing its batch-mates, and a saturated server
@@ -508,7 +505,7 @@ func (s *Server) SubmitBatchCtx(ctx context.Context, reqs []SubmitRequest) []Bat
 		preq, cond, err := s.prepare(reqs[i])
 		if err != nil {
 			items[i].Err = err
-			s.countRequest(reqs[i], nil, err)
+			s.countRequest(reqs[i].CondEst, nil, err)
 			continue
 		}
 		key := plan.KeyFor(preq)
@@ -538,13 +535,10 @@ func (s *Server) SubmitBatchCtx(ctx context.Context, reqs []SubmitRequest) []Bat
 				case job.err != nil:
 					items[i].Err = job.err
 				default:
-					job.out.PlanCacheHit = hit
-					if job.out.Plan == nil {
-						job.out.Plan = &pl
-					}
+					job.out.Plan, job.out.PlanCacheHit = &pl, hit
 					items[i].Result = job.out
 				}
-				s.countRequest(job.req, items[i].Result, items[i].Err)
+				s.countRequest(job.req.CondEst, items[i].Result, items[i].Err)
 			}
 		}(g)
 	}
@@ -565,9 +559,9 @@ func denseView(m *lin.Matrix) *Dense {
 // rank-gate slot. The CholeskyQR2 family routes through the fused
 // batched drivers (parallelism comes from the batch dimension, and the
 // per-item kernel sequence is the sequential one, so results match
-// per-request runs to working accuracy); TSQR and PGEQRF have no fused
-// kernels and fall back to per-item simulated runs. Per-item failures
-// land in job.err.
+// per-request runs to working accuracy); TSQR, PGEQRF and stream-tsqr
+// have no fused kernels and fall back to per-item runs through runOne.
+// Per-item failures — a non-finite R included — land in job.err.
 func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) {
 	switch p.Variant {
 	case plan.Sequential, plan.OneD, plan.CACQR2, plan.PanelCACQR2, plan.ShiftedCQR3:
@@ -597,6 +591,9 @@ func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) 
 			flops += lin.SyrkFlops(m, n) + lin.CholFlops(n) + lin.TriInvFlops(n) + lin.GemmFlops(m, n, n)
 		}
 		for i, job := range jobs {
+			if errs[i] == nil {
+				errs[i] = checkR(rs[i].Data, p.Variant)
+			}
 			if errs[i] != nil {
 				job.err = errs[i]
 				continue
@@ -612,15 +609,7 @@ func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) 
 		// No fused kernel for this variant: per-item distributed runs,
 		// sequentially under the group's single gate admission.
 		for _, job := range jobs {
-			res, err := FactorizePlan(job.req.A, p, s.execOptions(ctx))
-			if err != nil {
-				job.err = err
-				continue
-			}
-			job.out.Q, job.out.R, job.out.Plan, job.out.Stats = res.Q, res.R, res.Plan, res.Stats
-			if job.req.B != nil {
-				job.out.X, job.err = solveWithQR(res.Q, res.R, job.req.B)
-			}
+			job.err = s.runOne(ctx, p, job)
 		}
 	}
 }

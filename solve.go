@@ -80,25 +80,24 @@ func factorizeFixedCondAware(a *Dense, spec GridSpec, opts Options) (*Result, er
 	if err := checkOptions(opts); err != nil {
 		return nil, err
 	}
-	// Validate the spec — shape divisibility included — before measuring
+	// Check the row — shape divisibility included — before measuring
 	// anything: whether an infeasible grid is rejected must not depend
 	// on the matrix values steering the conditioning reroute.
-	if err := spec.validate(); err != nil {
+	row, err := checkPlan(gridRow(spec, opts), a.Rows, a.Cols)
+	if err != nil {
 		return nil, err
-	}
-	m, n := a.Rows, a.Cols
-	if m%spec.D != 0 || n%spec.C != 0 {
-		return nil, fmt.Errorf("cacqr: %dx%d matrix not divisible by the %dx%dx%d grid (need d | m, c | n)",
-			m, n, spec.C, spec.D, spec.C)
 	}
 	cond := opts.CondEst
 	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
 	if cond == 0 {
+		if err := checkInput(a); err != nil {
+			return nil, err
+		}
 		cond = lin.EstimateCond(a.toLin(), condEstIters)
 	}
-	if plan.PredictOrthogonality(plan.CACQR2, m, n, 0, cond) <= plan.DefaultOrthTol {
+	if plan.PredictOrthogonality(plan.CACQR2, a.Rows, a.Cols, 0, cond) <= plan.DefaultOrthTol {
 		// Inside the CQR2 regime: the requested grid as before.
-		res, err := FactorizeOnGrid(a, spec, opts)
+		res, err := execute(a, row, opts)
 		if err != nil {
 			return nil, err
 		}
